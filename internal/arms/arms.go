@@ -3,6 +3,7 @@ package arms
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"parapre/internal/ilu"
 	"parapre/internal/sparse"
@@ -35,12 +36,13 @@ type Reduction struct {
 	S       *sparse.CSR // reduced (Schur) matrix
 }
 
-// SolveB applies the exact block-diagonal solve out = B⁻¹·in.
+// SolveB applies the exact block-diagonal solve out = B⁻¹·in. out and in
+// must not alias.
+//
+//lint:allocfree dense block solves into the caller's slice; verified dynamically by TestReductionSolveBZeroAlloc
 func (r *Reduction) SolveB(out, in []float64) {
 	for g, ext := range r.Blocks {
-		lo, hi := ext[0], ext[1]
-		sol := r.BlockLU[g].Solve(in[lo:hi])
-		copy(out[lo:hi], sol)
+		r.BlockLU[g].SolveTo(out[ext[0]:ext[1]], in[ext[0]:ext[1]])
 	}
 }
 
@@ -54,39 +56,30 @@ func (r *Reduction) SolveBFlops() float64 {
 	return f
 }
 
-// Reduce performs a single independent-set reduction of a: it finds a
-// group-independent set (groups capped at maxGroup), permutes the grouped
-// unknowns first, factors the resulting block-diagonal B exactly, and
+// Reduce performs one independent-set reduction of a: it groups all but
+// the trailing nSep unknowns (groups capped at maxGroup), permutes the
+// grouped unknowns first, factors the block-diagonal B exactly, and
 // assembles S = C − E·B⁻¹·F with relative drop tolerance dropTol. It
-// returns nil (no error) with a nil Reduction when no reduction is
-// possible. This is the building block both of the multilevel Solver and
-// of the paper's expanded-Schur preconditioner (Schur 2).
-func Reduce(a *sparse.CSR, maxGroup int, dropTol float64) (*Reduction, error) {
-	group, ng := GroupIndependentSet(a, maxGroup)
+// returns a nil Reduction (no error) when no unknown could be grouped. It
+// serves both the multilevel Solver (nSep = 0) and Schur 2, which forces
+// its interdomain interface unknowns into the separator.
+func Reduce(a *sparse.CSR, nSep, maxGroup int, dropTol float64) (*Reduction, error) {
+	group, ng := GroupIndependentSet(a, nSep, maxGroup)
 	perm, nB, blocks := IndSetPerm(group, ng)
-	if nB == 0 || nB == a.Rows {
+	if nB == 0 {
 		return nil, nil
 	}
-	p := sparse.PermuteSym(a, perm)
-	red := &Reduction{Perm: perm, NB: nB, Blocks: blocks}
-
-	bIdx := rangeInts(0, nB)
-	cIdx := rangeInts(nB, p.Rows)
-	B := sparse.Extract(p, bIdx, bIdx)
-	red.F = sparse.Extract(p, bIdx, cIdx)
-	red.E = sparse.Extract(p, cIdx, bIdx)
-	C := sparse.Extract(p, cIdx, cIdx)
-
-	red.BlockLU = make([]*sparse.LU, len(blocks))
+	b, f, e, c := sparse.SplitAt(sparse.PermuteSym(a, perm), nB)
+	red := &Reduction{Perm: perm, NB: nB, Blocks: blocks, F: f, E: e,
+		BlockLU: make([]*sparse.LU, len(blocks))}
 	for g, ext := range blocks {
-		d := blockDense(B, ext[0], ext[1])
-		lu, err := d.Factor()
+		lu, err := blockDense(b, ext[0], ext[1]).Factor()
 		if err != nil {
 			return nil, fmt.Errorf("arms: group %d: %w", g, err)
 		}
 		red.BlockLU[g] = lu
 	}
-	red.S = AssembleSchur(C, red.E, red.F, red, dropTol)
+	red.S = AssembleSchur(c, e, f, red, dropTol)
 	return red, nil
 }
 
@@ -96,8 +89,13 @@ type Solver struct {
 	n      int
 	levels []*Reduction
 	last   *ilu.LU // ILUT factorization of the final reduced matrix
-	// per-level permutation scratch
-	buf [][]float64
+	scr    []levelScratch
+}
+
+// levelScratch holds one level's Apply temporaries: the permuted
+// right-hand side [r_B | r_C], u_B, z_C, and the correction B⁻¹·F·z_C.
+type levelScratch struct {
+	work, uB, zC, corr []float64
 }
 
 // N returns the dimension of the preconditioned matrix.
@@ -128,13 +126,13 @@ func New(a *sparse.CSR, opt Options) (*Solver, error) {
 	s := &Solver{n: a.Rows}
 	cur := a
 	for lev := 0; lev < opt.Levels; lev++ {
-		red, err := Reduce(cur, opt.MaxGroup, opt.DropTol)
+		red, err := Reduce(cur, 0, opt.MaxGroup, opt.DropTol)
 		if err != nil {
 			return nil, fmt.Errorf("arms: level %d: %w", lev, err)
 		}
-		if red == nil {
-			// No reduction possible (fully separated or fully grouped):
-			// stop stacking levels.
+		if red == nil || red.NB == cur.Rows {
+			// Nothing could be grouped, or everything was and no S is
+			// left to recurse on: stop stacking levels.
 			break
 		}
 		s.levels = append(s.levels, red)
@@ -146,23 +144,17 @@ func New(a *sparse.CSR, opt Options) (*Solver, error) {
 	}
 	s.last = lastLU
 
-	// Scratch: one buffer per level, sized to the level's dimension, plus
-	// one for the last level.
 	dim := s.n
-	for i := range s.levels {
-		s.buf = append(s.buf, make([]float64, dim))
-		dim -= s.levels[i].NB
+	for _, l := range s.levels {
+		s.scr = append(s.scr, levelScratch{
+			work: make([]float64, dim),
+			uB:   make([]float64, l.NB),
+			zC:   make([]float64, dim-l.NB),
+			corr: make([]float64, l.NB),
+		})
+		dim -= l.NB
 	}
-	s.buf = append(s.buf, make([]float64, dim))
 	return s, nil
-}
-
-func rangeInts(lo, hi int) []int {
-	out := make([]int, hi-lo)
-	for i := range out {
-		out[i] = lo + i
-	}
-	return out
 }
 
 // blockDense copies the diagonal block B[lo:hi, lo:hi] into dense storage.
@@ -180,112 +172,131 @@ func blockDense(b *sparse.CSR, lo, hi int) *sparse.Dense {
 }
 
 // AssembleSchur computes S = C − E·B⁻¹·F with per-row relative dropping,
-// using the reduction's exact block-diagonal solves for B⁻¹. Exposed for
-// the expanded-Schur (Schur 2) preconditioner, which runs the reduction on
-// the internal unknowns only.
+// using the reduction's exact block-diagonal solves for B⁻¹.
+//
+// Each group's W_g = B_g⁻¹·F_g is formed once, densely over the column
+// support of F_g. Each row of S is then summed in a dense accumulator, C's
+// row first, then −e_ij·W_g[j, :] for E's entries in column order; its
+// distinct columns are sorted, dropped and appended. The cost is
+// O(nnz(E)·|support|) plus one dense solve per support column.
 func AssembleSchur(c, e, f *sparse.CSR, l *Reduction, dropTol float64) *sparse.CSR {
 	nc := c.Rows
-	coo := sparse.NewCOO(nc, nc, c.NNZ()*2)
-	for i := 0; i < nc; i++ {
-		cols, vals := c.Row(i)
-		for k, j := range cols {
-			coo.Add(i, j, vals[k])
-		}
+	// W_g, column-major over sup[g]. pos maps an F column to its place in
+	// the support of the current group (−1 outside it).
+	sup := make([][]int, len(l.Blocks))
+	w := make([][]float64, len(l.Blocks))
+	pos := make([]int, f.Cols)
+	for j := range pos {
+		pos[j] = -1
 	}
-	// For each group g: W = B_g⁻¹ F_g (dense |g|×support), then subtract
-	// E[:,g]·W.
-	ft := f // F rows are the group rows already
+	var fd []float64
 	for g, ext := range l.Blocks {
 		lo, hi := ext[0], ext[1]
-		sz := hi - lo
-		// Column support of F_g.
-		support := map[int]int{}
-		var supCols []int
 		for r := lo; r < hi; r++ {
-			cols, _ := ft.Row(r)
+			cols, _ := f.Row(r)
 			for _, j := range cols {
-				if _, ok := support[j]; !ok {
-					support[j] = len(supCols)
-					supCols = append(supCols, j)
+				if pos[j] < 0 {
+					pos[j] = len(sup[g])
+					sup[g] = append(sup[g], j)
 				}
 			}
 		}
-		if len(supCols) == 0 {
+		sz, ns := hi-lo, len(sup[g])
+		if ns == 0 {
 			continue
 		}
-		// Dense W: sz × |support|, column by column via LU solves.
-		rhs := make([]float64, sz)
-		w := make([]float64, sz*len(supCols))
-		for sc, j := range supCols {
-			for i := range rhs {
-				rhs[i] = 0
-			}
-			for r := lo; r < hi; r++ {
-				cols, vals := ft.Row(r)
-				for k, jj := range cols {
-					if jj == j {
-						rhs[r-lo] = vals[k]
-					}
-				}
-			}
-			sol := l.BlockLU[g].Solve(rhs)
-			for i := 0; i < sz; i++ {
-				w[i*len(supCols)+sc] = sol[i]
+		// Scatter F_g column-major, so each support column is one
+		// contiguous right-hand side.
+		fd = slices.Grow(fd[:0], sz*ns)[:sz*ns]
+		clear(fd)
+		for r := lo; r < hi; r++ {
+			cols, vals := f.Row(r)
+			for k, j := range cols {
+				fd[pos[j]*sz+r-lo] = vals[k]
 			}
 		}
-		// Subtract E[:, lo:hi]·W from S: iterate rows of E that touch the
-		// group's columns.
-		for i := 0; i < nc; i++ {
-			cols, vals := e.Row(i)
-			for k, j := range cols {
-				if j < lo || j >= hi {
+		w[g] = make([]float64, sz*ns)
+		for o := 0; o < sz*ns; o += sz {
+			l.BlockLU[g].SolveTo(w[g][o:o+sz], fd[o:o+sz])
+		}
+		for _, j := range sup[g] {
+			pos[j] = -1
+		}
+	}
+
+	colGroup := make([]int, l.NB)
+	for g, ext := range l.Blocks {
+		for j := ext[0]; j < ext[1]; j++ {
+			colGroup[j] = g
+		}
+	}
+	// Size S once: C's entries plus, per row, the support of every group
+	// its E entries reach bound the row's distinct columns.
+	bound := c.NNZ()
+	for i := 0; i < nc; i++ {
+		cols, _ := e.Row(i)
+		for k, j := range cols {
+			if k == 0 || colGroup[j] != colGroup[cols[k-1]] {
+				bound += len(sup[colGroup[j]])
+			}
+		}
+	}
+	s := sparse.NewCSR(nc, nc, bound)
+	acc := make([]float64, nc)
+	seen := make([]int, nc) // i+1 once column j holds a row-i entry
+	var idx []int
+	for i := 0; i < nc; i++ {
+		idx = idx[:0]
+		cols, vals := c.Row(i)
+		for k, j := range cols {
+			if seen[j] != i+1 {
+				seen[j], acc[j] = i+1, 0
+				idx = append(idx, j)
+			}
+			acc[j] += vals[k]
+		}
+		cols, vals = e.Row(i)
+		for k, j := range cols {
+			g := colGroup[j]
+			sz, r := l.Blocks[g][1]-l.Blocks[g][0], j-l.Blocks[g][0]
+			for sc, jj := range sup[g] {
+				v := vals[k] * w[g][sc*sz+r]
+				if v == 0 {
 					continue
 				}
-				eij := vals[k]
-				row := w[(j-lo)*len(supCols) : (j-lo+1)*len(supCols)]
-				for sc, jj := range supCols {
-					if v := eij * row[sc]; v != 0 {
-						coo.Add(i, jj, -v)
-					}
+				if seen[jj] != i+1 {
+					seen[jj], acc[jj] = i+1, 0
+					idx = append(idx, jj)
 				}
+				acc[jj] -= v
 			}
 		}
-	}
-	s := coo.ToCSR()
-	return dropSmall(s, dropTol)
-}
-
-// dropSmall removes entries below tol·(mean row magnitude), keeping
-// diagonals.
-func dropSmall(a *sparse.CSR, tol float64) *sparse.CSR {
-	if tol <= 0 {
-		return a
-	}
-	out := sparse.NewCSR(a.Rows, a.Cols, a.NNZ())
-	for i := 0; i < a.Rows; i++ {
-		cols, vals := a.Row(i)
+		// Keep the diagonal and, with dropTol > 0, every entry above
+		// dropTol·(mean row magnitude).
+		slices.Sort(idx)
 		var norm float64
-		for _, v := range vals {
-			norm += math.Abs(v)
+		for _, j := range idx {
+			norm += math.Abs(acc[j])
 		}
-		if len(vals) > 0 {
-			norm /= float64(len(vals))
-		}
-		thresh := tol * norm
-		for k, j := range cols {
-			if j == i || math.Abs(vals[k]) > thresh {
-				out.ColIdx = append(out.ColIdx, j)
-				out.Val = append(out.Val, vals[k])
+		thresh := dropTol * (norm / float64(len(idx)))
+		for _, j := range idx {
+			if dropTol <= 0 || j == i || math.Abs(acc[j]) > thresh {
+				s.ColIdx = append(s.ColIdx, j)
+				s.Val = append(s.Val, acc[j])
 			}
 		}
-		out.RowPtr[i+1] = len(out.ColIdx)
+		s.RowPtr[i+1] = len(s.ColIdx)
 	}
-	return out
+	// S lives as long as the preconditioner: drop the bound's slack.
+	s.ColIdx, s.Val = slices.Clone(s.ColIdx), slices.Clone(s.Val)
+	return s
 }
 
 // Apply computes z = M⁻¹·r through the multilevel hierarchy:
 // per level, u_B = B⁻¹r_B; r_C' = r_C − E·u_B; recurse on r_C'; then
 // u_B −= B⁻¹·F·z_C. z and r must have length N(); they may alias.
+//
+//lint:allocfree per-level scratch is built by New; verified dynamically by TestSolverApplyZeroAlloc
 func (s *Solver) Apply(z, r []float64) {
 	s.applyLevel(0, z, r)
 }
@@ -295,42 +306,35 @@ func (s *Solver) applyLevel(lev int, z, r []float64) {
 		s.last.Solve(z, r)
 		return
 	}
-	l := s.levels[lev]
-	n := len(l.Perm)
-	work := s.buf[lev]
-	// Permute r into work.
+	l, w := s.levels[lev], &s.scr[lev]
 	for i, old := range l.Perm {
-		work[i] = r[old]
+		w.work[i] = r[old]
 	}
-	rB := work[:l.NB]
-	rC := work[l.NB:n]
+	rB := w.work[:l.NB]
+	rC := w.work[l.NB:]
 
 	// u_B = B⁻¹ r_B (exact block solves).
-	uB := make([]float64, l.NB)
-	l.SolveB(uB, rB)
+	l.SolveB(w.uB, rB)
 
 	// r_C' = r_C − E·u_B.
-	l.E.MulVecSub(rC, uB)
+	l.E.MulVecSub(rC, w.uB)
 
 	// Recurse.
-	zC := make([]float64, n-l.NB)
-	s.applyLevel(lev+1, zC, rC)
+	s.applyLevel(lev+1, w.zC, rC)
 
-	// u_B -= B⁻¹·F·z_C.
-	fz := make([]float64, l.NB)
-	l.F.MulVecTo(fz, zC)
-	corr := make([]float64, l.NB)
-	l.SolveB(corr, fz)
-	for i := range uB {
-		uB[i] -= corr[i]
+	// u_B −= B⁻¹·F·z_C; r_B is spent, so F·z_C reuses its storage.
+	fz := rB
+	l.F.MulVecTo(fz, w.zC)
+	l.SolveB(w.corr, fz)
+	for i := range w.uB {
+		w.uB[i] -= w.corr[i]
 	}
 
 	// Un-permute into z.
-	for i, old := range l.Perm {
-		if i < l.NB {
-			z[old] = uB[i]
-		} else {
-			z[old] = zC[i-l.NB]
-		}
+	for i, old := range l.Perm[:l.NB] {
+		z[old] = w.uB[i]
+	}
+	for i, old := range l.Perm[l.NB:] {
+		z[old] = w.zC[i]
 	}
 }

@@ -30,7 +30,7 @@ func poissonMatrix(t testing.TB, m int) (*sparse.CSR, []float64) {
 func TestGroupIndependentSetInvariant(t *testing.T) {
 	a, _ := poissonMatrix(t, 15)
 	for _, maxG := range []int{1, 4, 16, 64} {
-		group, ng := GroupIndependentSet(a, maxG)
+		group, ng := GroupIndependentSet(a, 0, maxG)
 		if ng == 0 {
 			t.Fatalf("maxG=%d: no groups", maxG)
 		}
@@ -70,7 +70,7 @@ func TestGroupIndependentSetReducesMost(t *testing.T) {
 	// On a FEM mesh most unknowns should land in groups, not the
 	// separator, otherwise the reduction is pointless.
 	a, _ := poissonMatrix(t, 21)
-	group, _ := GroupIndependentSet(a, 24)
+	group, _ := GroupIndependentSet(a, 0, 24)
 	sep := 0
 	for _, g := range group {
 		if g < 0 {
@@ -84,7 +84,7 @@ func TestGroupIndependentSetReducesMost(t *testing.T) {
 
 func TestIndSetPermContiguousGroups(t *testing.T) {
 	a, _ := poissonMatrix(t, 11)
-	group, ng := GroupIndependentSet(a, 10)
+	group, ng := GroupIndependentSet(a, 0, 10)
 	perm, nB, blocks := IndSetPerm(group, ng)
 	if !perm.IsValid() {
 		t.Fatal("invalid permutation")
@@ -107,7 +107,7 @@ func TestARMSBlockDiagonalB(t *testing.T) {
 	// After permutation, the leading block must have no entries between
 	// different group extents.
 	a, _ := poissonMatrix(t, 13)
-	group, ng := GroupIndependentSet(a, 12)
+	group, ng := GroupIndependentSet(a, 0, 12)
 	perm, nB, blocks := IndSetPerm(group, ng)
 	p := sparse.PermuteSym(a, perm)
 	whichBlock := make([]int, nB)
@@ -280,7 +280,7 @@ func TestGroupIndependentSetPropertyRandomGraphs(t *testing.T) {
 		}
 		a := coo.ToCSR()
 		maxG := 1 + rng.Intn(10)
-		group, ng := GroupIndependentSet(a, maxG)
+		group, ng := GroupIndependentSet(a, 0, maxG)
 		sizes := make([]int, ng)
 		for v, g := range group {
 			if g == -2 {

@@ -15,14 +15,16 @@ import "parapre/internal/sparse"
 // symmetric) sparsity graph of a into groups with no edges between
 // different groups, plus a separator. It returns group[v] = id ≥ 0 for
 // grouped vertices and −1 for separator vertices, along with the number
-// of groups. maxGroup caps the group size (≥ 1).
+// of groups. maxGroup caps the group size (≥ 1). The trailing nSep
+// vertices are forced into the separator: they are never grouped, and
+// the pass runs as if on the leading (n−nSep)×(n−nSep) block alone.
 //
 // Greedy single pass: an unassigned vertex joins the unique neighboring
 // group if it has one (and the group has room), becomes a separator if it
 // neighbors two different groups, and otherwise seeds a new group. The
 // no-cross-edges invariant holds by induction: both endpoints of an edge
 // see each other's assignment when processed.
-func GroupIndependentSet(a *sparse.CSR, maxGroup int) (group []int, ngroups int) {
+func GroupIndependentSet(a *sparse.CSR, nSep, maxGroup int) (group []int, ngroups int) {
 	n := a.Rows
 	if maxGroup < 1 {
 		maxGroup = 1
@@ -30,6 +32,9 @@ func GroupIndependentSet(a *sparse.CSR, maxGroup int) (group []int, ngroups int)
 	group = make([]int, n)
 	for i := range group {
 		group[i] = -2 // unassigned
+		if i >= n-nSep {
+			group[i] = -1
+		}
 	}
 	size := []int{}
 	for v := 0; v < n; v++ {
@@ -79,22 +84,27 @@ func GroupIndependentSet(a *sparse.CSR, maxGroup int) (group []int, ngroups int)
 // permutation (new→old), the size of the grouped part, and the contiguous
 // extent [start, end) of each group in the new ordering.
 func IndSetPerm(group []int, ngroups int) (perm sparse.Perm, nB int, blocks [][2]int) {
-	n := len(group)
-	perm = make(sparse.Perm, 0, n)
+	// Counting sort: size the groups, turn the sizes into extents, then
+	// place every vertex in ascending order within its bucket.
 	blocks = make([][2]int, ngroups)
-	for g := 0; g < ngroups; g++ {
-		start := len(perm)
-		for v := 0; v < n; v++ {
-			if group[v] == g {
-				perm = append(perm, v)
-			}
+	for _, g := range group {
+		if g >= 0 {
+			blocks[g][1]++
 		}
-		blocks[g] = [2]int{start, len(perm)}
 	}
-	nB = len(perm)
-	for v := 0; v < n; v++ {
-		if group[v] < 0 {
-			perm = append(perm, v)
+	for g, ext := range blocks {
+		blocks[g] = [2]int{nB, nB}
+		nB += ext[1]
+	}
+	perm = make(sparse.Perm, len(group))
+	sep := nB
+	for v, g := range group {
+		if g >= 0 {
+			perm[blocks[g][1]] = v
+			blocks[g][1]++
+		} else {
+			perm[sep] = v
+			sep++
 		}
 	}
 	return perm, nB, blocks

@@ -44,7 +44,7 @@ func tridiag(n int) *sparse.CSR {
 func TestGroupIndependentSetNonPositiveMaxGroup(t *testing.T) {
 	a := tridiag(12)
 	for _, mg := range []int{0, -3} {
-		group, ng := GroupIndependentSet(a, mg)
+		group, ng := GroupIndependentSet(a, 0, mg)
 		checkNoCrossEdges(t, a, group)
 		counts := make([]int, ng)
 		for _, g := range group {
@@ -78,7 +78,7 @@ func TestGroupIndependentSetDenseRow(t *testing.T) {
 		}
 	}
 	a := coo.ToCSR()
-	group, ng := GroupIndependentSet(a, 3)
+	group, ng := GroupIndependentSet(a, 0, 3)
 	checkNoCrossEdges(t, a, group)
 	if ng < 1 {
 		t.Fatalf("ngroups = %d, want at least the seed group", ng)
@@ -99,7 +99,7 @@ func TestGroupIndependentSetDenseRow(t *testing.T) {
 // separator, empty permutation.
 func TestGroupIndependentSetEmptyMatrix(t *testing.T) {
 	a := sparse.NewCSR(0, 0, 0)
-	group, ng := GroupIndependentSet(a, 4)
+	group, ng := GroupIndependentSet(a, 0, 4)
 	if len(group) != 0 {
 		t.Fatalf("group length %d, want 0", len(group))
 	}
@@ -117,7 +117,7 @@ func TestGroupIndependentSetEmptyMatrix(t *testing.T) {
 // separator last, matching the group assignment exactly.
 func TestIndSetPermRoundTrip(t *testing.T) {
 	a := tridiag(23)
-	group, ng := GroupIndependentSet(a, 4)
+	group, ng := GroupIndependentSet(a, 0, 4)
 	perm, nB, blocks := IndSetPerm(group, ng)
 	n := len(group)
 	if len(perm) != n {

@@ -63,20 +63,30 @@ func TestARMSOneByOne(t *testing.T) {
 	}
 }
 
-// Reduce must report "no reduction" (nil, nil) rather than a degenerate
-// Reduction when every unknown lands in the grouped part.
-func TestReduceFullyGroupedIsNil(t *testing.T) {
+// A fully grouped matrix (nB == n) leaves no Schur complement: the
+// multilevel Solver must stop stacking levels there and go straight to
+// its final ILUT, while Reduce itself still hands back the reduction
+// (with a 0×0 S) that Schur 2 uses as an exact block solve.
+func TestFullyGroupedLevelStopsSolver(t *testing.T) {
 	// Diagonal matrix: every vertex is independent, so with a large group
 	// cap the whole matrix is grouped and nB == n.
 	coo := sparse.NewCOO(4, 4, 4)
 	for i := 0; i < 4; i++ {
 		coo.Add(i, i, float64(i+1))
 	}
-	red, err := Reduce(coo.ToCSR(), 8, 0)
+	a := coo.ToCSR()
+	red, err := Reduce(a, 0, 8, 0)
 	if err != nil {
 		t.Fatalf("Reduce: %v", err)
 	}
-	if red != nil {
-		t.Errorf("diagonal matrix produced a reduction with nB=%d, want nil (no reduction)", red.NB)
+	if red == nil || red.NB != 4 || red.S.Rows != 0 {
+		t.Fatalf("diagonal matrix: got reduction %+v, want nB=4 with a 0×0 S", red)
+	}
+	s, err := New(a, Options{Levels: 2, MaxGroup: 8, ILUT: ilu.ILUTOptions{Tau: 0, LFil: 0}})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	if len(s.levels) != 0 {
+		t.Errorf("diagonal matrix stacked %d levels, want 0 (no reduction)", len(s.levels))
 	}
 }

@@ -30,10 +30,11 @@ type reducer struct {
 
 	result   [2][]float64
 	maxTimes [2]float64
+	outs     [][]float64 // per-rank copy of the last result it received
 }
 
 func newReducer(p int) *reducer {
-	r := &reducer{p: p, inputs: make([][]float64, p), clocks: make([]float64, p)}
+	r := &reducer{p: p, inputs: make([][]float64, p), clocks: make([]float64, p), outs: make([][]float64, p)}
 	r.cond = sync.NewCond(&r.mu)
 	return r
 }
@@ -50,7 +51,8 @@ func (r *reducer) abort() {
 // reduce runs one collective wave: rank's contribution in is combined with
 // everyone else's using op (applied in rank order), and the combined
 // vector plus the maximum deposited clock are returned to all ranks. op
-// must be equivalent across ranks.
+// must be equivalent across ranks. The returned vector is the rank's own
+// reused buffer, valid until its next collective.
 func (r *reducer) reduce(rank int, in []float64, clock float64, op func(acc, in []float64)) ([]float64, float64, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -86,8 +88,8 @@ func (r *reducer) reduce(rank int, in []float64, clock float64, op func(acc, in 
 		}
 	}
 	slot := myGen & 1
-	out := append([]float64(nil), r.result[slot]...)
-	return out, r.maxTimes[slot], nil
+	r.outs[rank] = append(r.outs[rank][:0], r.result[slot]...)
+	return r.outs[rank], r.maxTimes[slot], nil
 }
 
 // reduce runs one collective wave through the world's transport,
@@ -107,7 +109,20 @@ func (c *Comm) reduce(in []float64, kind ReduceKind) ([]float64, float64) {
 
 // AllReduceSum sums x across all ranks; every rank receives the total.
 func (c *Comm) AllReduceSum(x float64) float64 {
-	return c.AllReduceSumVec([]float64{x})[0]
+	return c.allReduce1(x, ReduceSum)
+}
+
+// allReduce1 is the scalar all-reduce behind AllReduceSum/Max/Min; its
+// input and output buffers are reused, so it allocates nothing.
+func (c *Comm) allReduce1(x float64, kind ReduceKind) float64 {
+	c.beginOp("allreduce", -1, -1)
+	sp := c.beginCollective(obs.KindAllReduce, 8)
+	c.scalar[0] = x
+	out, maxT := c.reduce(c.scalar[:], kind)
+	c.syncClock(maxT, 8)
+	sp.End(c.clock)
+	c.endOp()
+	return out[0]
 }
 
 // AllReduceSumVec element-wise sums the vector across ranks. All ranks
@@ -120,7 +135,7 @@ func (c *Comm) AllReduceSumVec(x []float64) []float64 {
 	c.syncClock(maxT, 8*len(x))
 	sp.End(c.clock)
 	c.endOp()
-	return out
+	return append([]float64(nil), out...)
 }
 
 // beginCollective opens the observability span of one collective (no-op
@@ -134,24 +149,12 @@ func (c *Comm) beginCollective(kind string, bytes int) obs.Span {
 
 // AllReduceMax returns the maximum of x across ranks.
 func (c *Comm) AllReduceMax(x float64) float64 {
-	c.beginOp("allreduce", -1, -1)
-	sp := c.beginCollective(obs.KindAllReduce, 8)
-	out, maxT := c.reduce([]float64{x}, ReduceMax)
-	c.syncClock(maxT, 8)
-	sp.End(c.clock)
-	c.endOp()
-	return out[0]
+	return c.allReduce1(x, ReduceMax)
 }
 
 // AllReduceMin returns the minimum of x across ranks.
 func (c *Comm) AllReduceMin(x float64) float64 {
-	c.beginOp("allreduce", -1, -1)
-	sp := c.beginCollective(obs.KindAllReduce, 8)
-	out, maxT := c.reduce([]float64{x}, ReduceMin)
-	c.syncClock(maxT, 8)
-	sp.End(c.clock)
-	c.endOp()
-	return out[0]
+	return c.allReduce1(x, ReduceMin)
 }
 
 // Barrier synchronizes all ranks (and their virtual clocks).
@@ -183,7 +186,8 @@ func (c *Comm) AllGather(x []float64, counts []int) []float64 {
 	c.syncClock(maxT, 8*total)
 	sp.End(c.clock)
 	c.endOp()
-	return out
+	copy(buf, out)
+	return buf
 }
 
 // VoteStop is an out-of-band control collective: every rank contributes

@@ -209,8 +209,9 @@ type Comm struct {
 
 	faults *rankFaults // nil when the world has no fault plan
 
-	rec   *obs.RankRecorder // nil when the world has no collector
-	phase string            // innermost open span kind (flop/byte attribution)
+	rec    *obs.RankRecorder // nil when the world has no collector
+	phase  string            // innermost open span kind (flop/byte attribution)
+	scalar [1]float64        // input buffer of the scalar all-reduces
 }
 
 // Comm returns the handle of rank r.

@@ -94,7 +94,8 @@ var (
 //   - Reduce is a combining barrier: every rank contributes once per
 //     wave, the fold runs in ascending rank order (see ReduceOp), and
 //     all ranks receive the folded vector plus the maximum deposited
-//     clock.
+//     clock. The vector may be a buffer the transport reuses for the
+//     rank's next collective; Comm copies it before handing it out.
 //   - Abort releases every blocked rank; blocked and subsequent
 //     operations return ErrWorldAborted.
 //   - MarkCrashed declares one rank dead: its peers' pending receives

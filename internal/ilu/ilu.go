@@ -57,8 +57,8 @@ func (f *LU) SolveFlops() float64 { return 2 * float64(f.M.NNZ()) }
 //
 //lint:allocfree steady state once the level schedule is cached; verified dynamically by TestLUSolveZeroAllocSteadyState
 func (f *LU) Solve(x, b []float64) {
-	if x == nil {
-		panic("ilu: nil output")
+	if len(x) < f.N() {
+		panic("ilu: output shorter than the factor")
 	}
 	if s := f.sched(); s != nil {
 		f.solveScheduled(x, b, s)

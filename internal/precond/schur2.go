@@ -43,8 +43,7 @@ func DefaultSchur2() Schur2Options {
 // ARMS reduction acts as the approximate subdomain solver for the group
 // unknowns.
 type Schur2 struct {
-	s    *dsys.System
-	opts Schur2Options
+	s *dsys.System
 
 	red   *arms.Reduction // reduction of the whole owned block
 	nG    int             // grouped unknowns
@@ -56,7 +55,15 @@ type Schur2 struct {
 
 	// scratch
 	work, y, gp, uG, fTmp []float64
-	ws                    *krylov.Workspace // pooled Schur-GMRES workspace
+
+	// Inner Schur-GMRES callbacks and options, bound once by finish so
+	// Apply allocates nothing; they reach the communicator through comm,
+	// which Apply sets on entry.
+	comm   *dist.Comm
+	matvec krylov.Op
+	prec   krylov.Prec
+	dot    krylov.Dot
+	inner  krylov.Options
 
 	// commErr records the first interface-exchange failure observed
 	// inside Apply's inner Schur solve (see CommErrRecorder).
@@ -71,99 +78,23 @@ type Schur2 struct {
 // paper's Fig. 2.
 func NewSchur2(s *dsys.System, opts Schur2Options) (*Schur2, error) {
 	owned := s.OwnedBlock()
-	red, err := reduceInternalOnly(owned, s.NInt, opts.MaxGroup, opts.DropTol)
+	red, err := arms.Reduce(owned, s.NLoc()-s.NInt, opts.MaxGroup, opts.DropTol)
 	if err != nil {
 		return nil, fmt.Errorf("precond: Schur 2 rank %d: %w", s.Rank, err)
 	}
-	p := &Schur2{s: s, opts: opts}
-	if red == nil {
-		// Degenerate subdomain (everything separator): fall back to the
-		// identity reduction — the expanded Schur system is the whole
-		// owned block.
-		p.nG = 0
-		p.nExp = s.NLoc()
+	// A degenerate subdomain (everything separator) falls back to the
+	// identity reduction: the expanded Schur system is the whole owned
+	// block.
+	p := &Schur2{s: s, red: red}
+	sExp := owned
+	if red != nil {
+		p.nG, p.perm, sExp = red.NB, red.Perm, red.S
+	} else {
 		p.perm = sparse.IdentityPerm(s.NLoc())
-		p.inv = p.perm.Inverse()
-		sExp := owned
-		return p.finish(sExp, opts)
 	}
-	p.red = red
-	p.nG = red.NB
-	p.nExp = s.NLoc() - red.NB
-	p.perm = red.Perm
+	p.nExp = s.NLoc() - p.nG
 	p.inv = p.perm.Inverse()
-	return p.finish(red.S, opts)
-}
-
-// reduceInternalOnly runs the group-independent-set reduction on the
-// owned block, with every interdomain interface unknown (local index ≥
-// nInt) pre-assigned to the separator.
-func reduceInternalOnly(owned *sparse.CSR, nInt, maxGroup int, dropTol float64) (*arms.Reduction, error) {
-	// Mask: restrict grouping to the internal block by reducing the
-	// leading principal submatrix and then splicing the interface part
-	// back into the separator. arms.Reduce operates on a whole matrix, so
-	// run it on B and rebuild the permutation over the owned block.
-	n := owned.Rows
-	if nInt == 0 {
-		return nil, nil
-	}
-	idx := make([]int, nInt)
-	for i := range idx {
-		idx[i] = i
-	}
-	b := sparse.Extract(owned, idx, idx)
-	group, ng := arms.GroupIndependentSet(b, maxGroup)
-	permB, nB, blocks := arms.IndSetPerm(group, ng)
-	if nB == 0 {
-		return nil, nil
-	}
-	// Owned-block permutation: grouped internals first, then separator
-	// internals, then interface unknowns.
-	perm := make(sparse.Perm, 0, n)
-	perm = append(perm, permB...)
-	for i := nInt; i < n; i++ {
-		perm = append(perm, i)
-	}
-	p := sparse.PermuteSym(owned, perm)
-
-	red := &arms.Reduction{Perm: perm, NB: nB, Blocks: blocks}
-	bIdx := make([]int, nB)
-	for i := range bIdx {
-		bIdx[i] = i
-	}
-	cIdx := make([]int, n-nB)
-	for i := range cIdx {
-		cIdx[i] = nB + i
-	}
-	bBlk := sparse.Extract(p, bIdx, bIdx)
-	red.F = sparse.Extract(p, bIdx, cIdx)
-	red.E = sparse.Extract(p, cIdx, bIdx)
-	cBlk := sparse.Extract(p, cIdx, cIdx)
-
-	red.BlockLU = make([]*sparse.LU, len(blocks))
-	for g, ext := range blocks {
-		d := denseBlock(bBlk, ext[0], ext[1])
-		lu, err := d.Factor()
-		if err != nil {
-			return nil, fmt.Errorf("group %d: %w", g, err)
-		}
-		red.BlockLU[g] = lu
-	}
-	red.S = arms.AssembleSchur(cBlk, red.E, red.F, red, dropTol)
-	return red, nil
-}
-
-func denseBlock(b *sparse.CSR, lo, hi int) *sparse.Dense {
-	d := sparse.NewDense(hi-lo, hi-lo)
-	for i := lo; i < hi; i++ {
-		cols, vals := b.Row(i)
-		for k, j := range cols {
-			if j >= lo && j < hi {
-				d.Set(i-lo, j-lo, vals[k])
-			}
-		}
-	}
-	return d
+	return p.finish(sExp, opts)
 }
 
 func (p *Schur2) finish(sExp *sparse.CSR, opts Schur2Options) (*Schur2, error) {
@@ -212,13 +143,35 @@ func (p *Schur2) finish(sExp *sparse.CSR, opts Schur2Options) (*Schur2, error) {
 	p.gp = make([]float64, p.nExp)
 	p.uG = make([]float64, p.nG)
 	p.fTmp = make([]float64, p.nG)
-	p.ws = krylov.NewWorkspace()
+	p.matvec = func(out, x []float64) {
+		if err := p.op.MatVec(p.comm, out, x); err != nil {
+			if p.commErr == nil {
+				p.commErr = err
+			}
+			poisonNaN(out)
+		}
+	}
+	p.prec = func(out, x []float64) {
+		p.sFact.Solve(out, x)
+		p.comm.Compute(p.sFact.SolveFlops())
+	}
+	p.dot = func(a, b []float64) float64 { return p.op.Dot(p.comm, a, b) }
+	p.inner = krylov.Options{
+		Restart:  opts.SchurIters,
+		MaxIters: opts.SchurIters,
+		Tol:      opts.SchurTol,
+		Compute:  func(f float64) { p.comm.Compute(f) },
+		Work:     krylov.NewWorkspace(),
+	}
 	return p, nil
 }
 
 // Apply runs the expanded-Schur preconditioner. Must be called
 // collectively.
+//
+//lint:allocfree inner-solve callbacks and workspace are bound by finish; verified dynamically by TestSchur2ApplyZeroAllocSteadyState
 func (p *Schur2) Apply(c *dist.Comm, z, r []float64) {
+	p.comm = c
 	// Permute into [groups | expanded interface].
 	for i, old := range p.perm {
 		p.work[i] = r[old]
@@ -240,28 +193,7 @@ func (p *Schur2) Apply(c *dist.Comm, z, r []float64) {
 	for i := range p.y {
 		p.y[i] = 0
 	}
-	krylov.GMRES(p.nExp,
-		func(out, x []float64) {
-			if err := p.op.MatVec(c, out, x); err != nil {
-				if p.commErr == nil {
-					p.commErr = err
-				}
-				poisonNaN(out)
-			}
-		},
-		func(out, x []float64) {
-			p.sFact.Solve(out, x)
-			c.Compute(p.sFact.SolveFlops())
-		},
-		func(a, b []float64) float64 { return p.op.Dot(c, a, b) },
-		p.gp, p.y,
-		krylov.Options{
-			Restart:  p.opts.SchurIters,
-			MaxIters: p.opts.SchurIters,
-			Tol:      p.opts.SchurTol,
-			Compute:  c.Compute,
-			Work:     p.ws,
-		})
+	krylov.GMRES(p.nExp, p.matvec, p.prec, p.dot, p.gp, p.y, p.inner)
 
 	// Step 3: back substitution — u_G = B⁻¹·(r_G − F·y).
 	if p.red != nil {
@@ -273,12 +205,11 @@ func (p *Schur2) Apply(c *dist.Comm, z, r []float64) {
 	}
 
 	// Un-permute.
-	for i, old := range p.perm {
-		if i < p.nG {
-			z[old] = p.uG[i]
-		} else {
-			z[old] = p.y[i-p.nG]
-		}
+	for i, old := range p.perm[:p.nG] {
+		z[old] = p.uG[i]
+	}
+	for i, old := range p.perm[p.nG:] {
+		z[old] = p.y[i]
 	}
 }
 

@@ -360,24 +360,27 @@ func (b *BSR) MulVecAdd(y []float64, alpha float64, x []float64) {
 	body(0, b.BlockRows())
 }
 
-// MulVecSub computes y -= A·x, mirroring CSR.MulVecSub.
+// MulVecSub computes y -= A·x, mirroring CSR.MulVecSub. Like MulVecTo it
+// hands the fan-out a direct closure, so the serial path allocates
+// nothing.
 func (b *BSR) MulVecSub(y, x []float64) {
 	b.checkMulDims("MulVecSub", y, x)
-	body := func(lo, hi int) {
-		br := b.BR
-		for bi := lo; bi < hi; bi++ {
-			for r := 0; r < br; r++ {
-				i := bi*br + r
-				s := b.rowDot(bi, r, x)
-				y[i] -= s
-			}
-		}
-	}
 	if w := par.Workers(); w > 1 && b.NNZ() >= spmvParMinNNZ {
-		par.ForSegments(b.rowPartition(w), body)
+		par.ForSegments(b.rowPartition(w), func(lo, hi int) { b.mulSubRange(y, x, lo, hi) })
 		return
 	}
-	body(0, b.BlockRows())
+	b.mulSubRange(y, x, 0, b.BlockRows())
+}
+
+func (b *BSR) mulSubRange(y, x []float64, lo, hi int) {
+	br := b.BR
+	for bi := lo; bi < hi; bi++ {
+		for r := 0; r < br; r++ {
+			i := bi*br + r
+			s := b.rowDot(bi, r, x)
+			y[i] -= s
+		}
+	}
 }
 
 // rowDot accumulates scalar row (bi·BR + r) · x in ascending column

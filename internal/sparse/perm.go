@@ -111,6 +111,50 @@ func sort2(cols []int, vals []float64) {
 	}
 }
 
+// SplitAt splits A at index k into the 2×2 block form [B F; E C], with
+// B = A[:k, :k], F = A[:k, k:], E = A[k:, :k] and C = A[k:, k:]. Each
+// block equals Extract over the same contiguous ranges, but the four are
+// sized exactly and filled in one pass over A, with no index maps.
+func SplitAt(a *CSR, k int) (b, f, e, c *CSR) {
+	if k < 0 || k > a.Rows || k > a.Cols {
+		panic(fmt.Sprintf("sparse: SplitAt(%d) of %d×%d matrix", k, a.Rows, a.Cols))
+	}
+	head := a.RowPtr[k] // entries in the leading k rows
+	var nB, nE int
+	for p, j := range a.ColIdx {
+		if j < k && p < head {
+			nB++
+		} else if j < k {
+			nE++
+		}
+	}
+	blk := [4]*CSR{
+		NewCSR(k, k, nB), NewCSR(k, a.Cols-k, head-nB),
+		NewCSR(a.Rows-k, k, nE), NewCSR(a.Rows-k, a.Cols-k, a.NNZ()-head-nE),
+	}
+	for i := 0; i < a.Rows; i++ {
+		lead, r := 0, i // B and F take the leading rows, E and C the rest
+		if i >= k {
+			lead, r = 2, i-k
+		}
+		cols, vals := a.Row(i)
+		for t, j := range cols {
+			m := blk[lead]
+			if j >= k {
+				m, j = blk[lead+1], j-k
+			}
+			m.ColIdx = append(m.ColIdx, j)
+			m.Val = append(m.Val, vals[t])
+		}
+		for _, m := range blk[lead : lead+2] {
+			start := m.RowPtr[r]
+			m.RowPtr[r+1] = len(m.ColIdx)
+			sort2(m.ColIdx[start:], m.Val[start:])
+		}
+	}
+	return blk[0], blk[1], blk[2], blk[3]
+}
+
 // Extract returns the submatrix A(rows, cols) in CSR form, where rows and
 // cols are index lists into A. Entry (i, j) of the result is
 // A(rows[i], cols[j]). Columns of A not listed in cols are dropped.
