@@ -213,6 +213,9 @@ func SolveRank(p *Problem, cfg Config, rank int, tr dist.Transport, sink ckpt.Si
 	if cfg.P < 1 || rank < 0 || rank >= cfg.P {
 		return krylov.Result{}, dist.Stats{}, fmt.Errorf("core: rank %d of P=%d", rank, cfg.P)
 	}
+	if err := precond.CheckKind(cfg.Precond); err != nil {
+		return krylov.Result{}, dist.Stats{}, fmt.Errorf("core: %w", err)
+	}
 	if cfg.Schwarz != nil || cfg.OverlapLevels > 0 {
 		return krylov.Result{}, dist.Stats{}, fmt.Errorf("core: overlapping/Schwarz preconditioners are shared-memory wired and cannot run multi-process")
 	}

@@ -288,6 +288,9 @@ func Solve(p *Problem, cfg Config) (*Result, error) {
 	if cfg.P < 1 {
 		return nil, fmt.Errorf("core: P = %d", cfg.P)
 	}
+	if err := precond.CheckKind(cfg.Precond); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
 	wallStart := time.Now()
 	if cfg.Solver.Restart == 0 {
 		cfg.Solver = DefaultConfig(cfg.P, cfg.Precond).Solver
@@ -488,7 +491,7 @@ func buildRankPrecond(cfg Config, s *dsys.System, kind precond.Kind) (precond.Pr
 		return precond.NewSchur2(s, cfg.Schur2)
 	case kind == precond.KindMSLR:
 		return precond.NewMSLR(s, cfg.MSLR)
-	default:
+	default: // KindNone: Solve, NewSession and SolveRank reject unknown kinds
 		return precond.NewIdentity(), nil
 	}
 }

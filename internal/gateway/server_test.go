@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -17,6 +18,7 @@ import (
 	"parapre/internal/cases"
 	"parapre/internal/ckpt"
 	"parapre/internal/core"
+	"parapre/internal/precond"
 )
 
 func postJob(t *testing.T, ts *httptest.Server, tenant string, spec *Spec) *http.Response {
@@ -439,5 +441,23 @@ func TestE2EKillAndResume(t *testing.T) {
 	}
 	if _, err := os.Stat(scFile); !os.IsNotExist(err) {
 		t.Error("sidecar not removed after completion")
+	}
+}
+
+// The gateway validates preconditioner names through the precond
+// registry: unknown and mis-cased names fail with its typed error, and an
+// omitted name keeps its documented Block 2 default.
+func TestSpecUnknownPrecondTyped(t *testing.T) {
+	for _, name := range []string{"bogus", "block 2", "SCHUR 1", "Block9"} {
+		s := &Spec{Case: "tc1-poisson2d", Precond: name}
+		err := s.Validate()
+		var uk *precond.UnknownKindError
+		if !errors.As(err, &uk) || string(uk.Kind) != name {
+			t.Errorf("Validate(precond %q) = %v, want *precond.UnknownKindError", name, err)
+		}
+	}
+	s := &Spec{Case: "tc1-poisson2d"}
+	if err := s.Validate(); err != nil || s.Precond != string(precond.KindBlock2) {
+		t.Fatalf("omitted precond: err %v, precond %q; want the Block 2 default", err, s.Precond)
 	}
 }

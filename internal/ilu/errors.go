@@ -3,6 +3,7 @@ package ilu
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // ErrZeroPivot is the sentinel all structural-singularity errors wrap.
@@ -44,7 +45,8 @@ var ErrBadInput = errors.New("ilu: bad input")
 
 // InputError reports a structurally invalid input to a factorization or
 // sub-factorization extraction: a non-square matrix, a row missing its
-// diagonal entry, an out-of-range split point. It wraps ErrBadInput.
+// diagonal entry or holding a non-finite value, an out-of-range split
+// point. It wraps ErrBadInput.
 type InputError struct {
 	Op     string // "ILU0", "ILUT", "ILUTP", "IC0", "ExtractTrailing", "ExtractLeading"
 	Detail string
@@ -54,6 +56,20 @@ func (e *InputError) Error() string { return fmt.Sprintf("ilu: %s: %s", e.Op, e.
 
 // Unwrap makes errors.Is(e, ErrBadInput) true.
 func (e *InputError) Unwrap() error { return ErrBadInput }
+
+// checkRowNorm validates a row's sum of |a_ij|, which scales the drop
+// tolerance and the pivot floor: a non-finite sum (a NaN or ±Inf entry,
+// or entries whose magnitudes overflow) is a bad input, an all-zero row a
+// singular one.
+func checkRowNorm(method string, row int, sum float64) error {
+	if math.IsNaN(sum) || math.IsInf(sum, 0) {
+		return badInputErr(method, "row %d is not finite (sum of |a_ij| = %v)", row, sum)
+	}
+	if sum == 0 {
+		return zeroPivotErr(method, row)
+	}
+	return nil
+}
 
 // badInputErr builds an input-validation error.
 func badInputErr(op, format string, args ...any) *InputError {

@@ -159,8 +159,8 @@ func IC0(a *sparse.CSR) (*Chol, error) {
 				diagA = vals[k]
 			}
 		}
-		if rowNorm == 0 {
-			return nil, zeroPivotErr("IC0", i)
+		if err := checkRowNorm("IC0", i, rowNorm); err != nil {
+			return nil, err
 		}
 		rowNorm /= float64(len(cols))
 

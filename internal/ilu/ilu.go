@@ -209,8 +209,8 @@ func ILU0(a *sparse.CSR) (*LU, error) {
 			pos[m.ColIdx[k]] = k
 			rowNorm += math.Abs(m.Val[k])
 		}
-		if rowNorm == 0 {
-			return nil, zeroPivotErr("ILU0", i)
+		if err := checkRowNorm("ILU0", i, rowNorm); err != nil {
+			return nil, err
 		}
 		rowNorm /= float64(hi - lo)
 		for k := lo; k < diag[i]; k++ {

@@ -2,8 +2,6 @@ package ilu
 
 import (
 	"fmt"
-	"math"
-	"sort"
 
 	"parapre/internal/sparse"
 )
@@ -57,147 +55,17 @@ type ILUTPOptions struct {
 // diagonals — e.g. strongly convective problems or saddle-point-like
 // blocks — where plain ILUT would need pivot fixes.
 func ILUTP(a *sparse.CSR, opt ILUTPOptions) (*PivLU, error) {
-	if a.Rows != a.Cols {
-		return nil, badInputErr("ILUTP", "non-square %d×%d matrix", a.Rows, a.Cols)
-	}
-	n := a.Rows
-	lfil := opt.LFil
-	if lfil <= 0 {
-		lfil = n
-	}
+	return dualThreshold("ILUTP", a, opt.ILUTOptions, opt.PermTol)
+}
 
-	perm := sparse.IdentityPerm(n)  // permuted position → original column
-	iperm := sparse.IdentityPerm(n) // original column → permuted position
-
-	m := sparse.NewCSR(n, n, a.NNZ()*2)
-	diag := make([]int, n)
-	out := &PivLU{LU: &LU{M: m, Diag: diag}, Perm: perm}
-
-	// Workspace indexed by ORIGINAL column id; the heap orders L-part
-	// candidates by their permuted position.
-	w := make([]float64, n)
-	inRow := make([]bool, n)
-	var lCols permHeap
-	lCols.iperm = iperm
-	uCols := make([]int, 0, n)
-	procL := make([]int, 0, n) // kept L columns (original ids), elimination order
-	var selL, selU []int       // selectLargest scratch, reused across rows
-
-	for i := 0; i < n; i++ {
-		cols, vals := a.Row(i)
-		var rowNorm float64
-		lCols.cols = lCols.cols[:0]
-		uCols = uCols[:0]
-		procL = procL[:0]
-		for k, j := range cols {
-			w[j] = vals[k]
-			inRow[j] = true
-			rowNorm += math.Abs(vals[k])
-			if iperm[j] < i {
-				lCols.cols = append(lCols.cols, j)
-			} else {
-				uCols = append(uCols, j)
-			}
-		}
-		if rowNorm == 0 {
-			return nil, zeroPivotErr("ILUTP", i)
-		}
-		rowNorm /= float64(len(cols))
-		drop := opt.Tau * rowNorm
-		lCols.init()
-
-		for len(lCols.cols) > 0 {
-			j := lCols.pop() // original column, smallest permuted pos
-			k := iperm[j]    // pivot row
-			lik := w[j] / m.Val[diag[k]]
-			inRow[j] = false
-			if math.Abs(lik) <= drop {
-				continue
-			}
-			w[j] = lik
-			procL = append(procL, j)
-			for kj := diag[k] + 1; kj < m.RowPtr[k+1]; kj++ {
-				jj := m.ColIdx[kj] // original column id (remapped later)
-				delta := lik * m.Val[kj]
-				if inRow[jj] {
-					w[jj] -= delta
-					continue
-				}
-				w[jj] = -delta
-				inRow[jj] = true
-				if iperm[jj] < i {
-					lCols.push(jj)
-				} else {
-					uCols = append(uCols, jj)
-				}
-			}
-		}
-
-		// Ensure a diagonal candidate exists.
-		dcol := perm[i]
-		if !inRow[dcol] {
-			w[dcol] = 0
-			inRow[dcol] = true
-			uCols = append(uCols, dcol)
-		}
-
-		// Column pivoting: promote the largest U candidate when it beats
-		// the current diagonal by the permtol margin.
-		if opt.PermTol > 0 {
-			best := dcol
-			for _, j := range uCols {
-				if math.Abs(w[j]) > math.Abs(w[best]) {
-					best = j
-				}
-			}
-			if best != dcol && math.Abs(w[best])*opt.PermTol > math.Abs(w[dcol]) {
-				pi, pb := iperm[dcol], iperm[best]
-				perm[pi], perm[pb] = perm[pb], perm[pi]
-				iperm[dcol], iperm[best] = iperm[best], iperm[dcol]
-				dcol = best
-				out.Swaps++
-			}
-		}
-
-		selL = selectLargest(selL, procL, w, drop, lfil, -1)
-		selU = selectLargest(selU, uCols, w, drop, lfil, dcol)
-		lSel, uSel := selL, selU
-		// Store in permuted order; remap to permuted indices after the
-		// factorization completes (iperm still changes for columns ≥ i).
-		sort.Slice(lSel, func(x, y int) bool { return iperm[lSel[x]] < iperm[lSel[y]] })
-		sort.Slice(uSel, func(x, y int) bool { return iperm[uSel[x]] < iperm[uSel[y]] })
-		for _, j := range lSel {
-			m.ColIdx = append(m.ColIdx, j)
-			m.Val = append(m.Val, w[j])
-		}
-		for _, j := range uSel {
-			if j == dcol {
-				diag[i] = len(m.ColIdx)
-				m.ColIdx = append(m.ColIdx, j)
-				m.Val = append(m.Val, fixPivot(w[j], rowNorm, &out.LU.PivotFixes))
-				continue
-			}
-			m.ColIdx = append(m.ColIdx, j)
-			m.Val = append(m.Val, w[j])
-		}
-		m.RowPtr[i+1] = len(m.ColIdx)
-
-		for _, j := range procL {
-			inRow[j] = false
-			w[j] = 0
-		}
-		for _, j := range uCols {
-			inRow[j] = false
-			w[j] = 0
-		}
-	}
-
-	// Remap stored column ids to permuted coordinates and re-sort rows —
-	// the factor becomes a standard LU in the permuted space.
+// remapPivoted turns the stored original column ids into permuted
+// positions and re-sorts the rows: the factor becomes a standard LU in
+// the permuted space. Without swaps the ids already are positions.
+func remapPivoted(m *sparse.CSR, diag []int, iperm sparse.Perm) error {
 	for k, j := range m.ColIdx {
 		m.ColIdx[k] = iperm[j]
 	}
-	for i := 0; i < n; i++ {
+	for i := 0; i < m.Rows; i++ {
 		lo, hi := m.RowPtr[i], m.RowPtr[i+1]
 		d := m.ColIdx[diag[i]]
 		sortRowAligned(m.ColIdx[lo:hi], m.Val[lo:hi])
@@ -209,11 +77,10 @@ func ILUTP(a *sparse.CSR, opt ILUTPOptions) (*PivLU, error) {
 			}
 		}
 		if m.ColIdx[diag[i]] != i {
-			return nil, fmt.Errorf("ilu: ILUTP pivot relocation failed at row %d (found column %d): %w", i, m.ColIdx[diag[i]], ErrInternal)
+			return fmt.Errorf("ilu: ILUTP pivot relocation failed at row %d (found column %d): %w", i, m.ColIdx[diag[i]], ErrInternal)
 		}
 	}
-	out.LU.prepLevels()
-	return out, nil
+	return nil
 }
 
 func sortRowAligned(cols []int, vals []float64) {
@@ -225,66 +92,5 @@ func sortRowAligned(cols []int, vals []float64) {
 			j--
 		}
 		cols[j+1], vals[j+1] = c, v
-	}
-}
-
-// permHeap is a hand-rolled min-heap of original column ids keyed by
-// their permuted positions. As with intHeap, the stored columns are
-// unique and pop in strictly ascending key order, so the switch from
-// container/heap is bit-neutral while avoiding the interface boxing.
-type permHeap struct {
-	cols  []int
-	iperm sparse.Perm
-}
-
-func (h *permHeap) init() {
-	for i := len(h.cols)/2 - 1; i >= 0; i-- {
-		h.siftDown(i)
-	}
-}
-
-func (h *permHeap) push(x int) {
-	a := append(h.cols, x)
-	key := h.iperm
-	i := len(a) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if key[a[p]] <= key[a[i]] {
-			break
-		}
-		a[p], a[i] = a[i], a[p]
-		i = p
-	}
-	h.cols = a
-}
-
-func (h *permHeap) pop() int {
-	a := h.cols
-	top := a[0]
-	n := len(a) - 1
-	a[0] = a[n]
-	h.cols = a[:n]
-	h.siftDown(0)
-	return top
-}
-
-func (h *permHeap) siftDown(i int) {
-	a := h.cols
-	key := h.iperm
-	n := len(a)
-	for {
-		l := 2*i + 1
-		if l >= n {
-			return
-		}
-		m := l
-		if r := l + 1; r < n && key[a[r]] < key[a[l]] {
-			m = r
-		}
-		if key[a[i]] <= key[a[m]] {
-			return
-		}
-		a[i], a[m] = a[m], a[i]
-		i = m
 	}
 }

@@ -2,6 +2,9 @@ package ilu
 
 import (
 	"errors"
+	"fmt"
+	"math"
+	"strings"
 	"testing"
 
 	"parapre/internal/sparse"
@@ -73,6 +76,48 @@ func TestExplicitZeroRowReturnsTypedError(t *testing.T) {
 	} {
 		if err := run(); !errors.Is(err, ErrZeroPivot) {
 			t.Errorf("explicit zero row: got %v, want ErrZeroPivot", err)
+		}
+	}
+}
+
+// Regression: a NaN or ±Inf entry used to pass through every
+// factorization. ILUT kept a NaN diagonal and dropped the row's
+// off-diagonals; with +Inf it dropped the row's coupling and "solved" a
+// 3×3 system to x = [0.25, 0, 0.25]. Each factorization must now name the
+// row in a typed *InputError.
+func TestNonFiniteEntryReturnsTypedError(t *testing.T) {
+	factors := []struct {
+		name   string
+		factor func(*sparse.CSR) error
+	}{
+		{"ILU0", func(a *sparse.CSR) error { _, err := ILU0(a); return err }},
+		{"ILUT", func(a *sparse.CSR) error { _, err := ILUT(a, DefaultILUT()); return err }},
+		{"ILUTP", func(a *sparse.CSR) error {
+			_, err := ILUTP(a, ILUTPOptions{ILUTOptions: DefaultILUT(), PermTol: 1})
+			return err
+		}},
+		{"IC0", func(a *sparse.CSR) error { _, err := IC0(a); return err }},
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, row := range []int{0, 1, 2} {
+			a := tridiag(3)
+			// Poison the diagonal of row `row`.
+			cols, vals := a.Row(row)
+			for k, j := range cols {
+				if j == row {
+					vals[k] = bad
+				}
+			}
+			for _, f := range factors {
+				err := f.factor(a)
+				var ie *InputError
+				if !errors.As(err, &ie) || !errors.Is(err, ErrBadInput) {
+					t.Fatalf("%s, %v at row %d: err = %v, want *InputError", f.name, bad, row, err)
+				}
+				if ie.Op != f.name || !strings.Contains(ie.Detail, fmt.Sprintf("row %d ", row)) {
+					t.Fatalf("%s, %v at row %d: error %q does not name the op and row", f.name, bad, row, err)
+				}
+			}
 		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -127,6 +128,9 @@ func ReadMatrix(r io.Reader) (*sparse.CSR, error) {
 			if err != nil {
 				return nil, fmt.Errorf("mmio: entry %d value: %w", k+1, err)
 			}
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil, fmt.Errorf("mmio: entry %d value %q is not finite", k+1, fields[2])
+			}
 		}
 		if i < 1 || i > rows || j < 1 || j > cols {
 			return nil, fmt.Errorf("mmio: entry %d index (%d,%d) out of range", k+1, i, j)
@@ -192,9 +196,13 @@ func ReadVector(r io.Reader) ([]float64, error) {
 		if err != nil {
 			return nil, fmt.Errorf("mmio: value %d of %d: %w", k+1, rows, err)
 		}
-		out[k], err = strconv.ParseFloat(strings.Fields(line)[0], 64)
+		field := strings.Fields(line)[0]
+		out[k], err = strconv.ParseFloat(field, 64)
 		if err != nil {
 			return nil, fmt.Errorf("mmio: value %d: %w", k+1, err)
+		}
+		if math.IsNaN(out[k]) || math.IsInf(out[k], 0) {
+			return nil, fmt.Errorf("mmio: value %d %q is not finite", k+1, field)
 		}
 	}
 	return out, nil

@@ -178,3 +178,19 @@ func TestDuplicateEntriesSummed(t *testing.T) {
 		t.Fatalf("duplicates not summed: %v", a.At(0, 0))
 	}
 }
+
+// Regression: strconv.ParseFloat accepts "nan" and "inf", so non-finite
+// matrix and vector values used to reach the factorizations. They are
+// now rejected with an error naming the entry.
+func TestNonFiniteValuesRejected(t *testing.T) {
+	for _, tok := range []string{"nan", "NaN", "inf", "+Inf", "-inf", "-Infinity"} {
+		mat := "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n2 2 " + tok + "\n"
+		if _, err := ReadMatrix(strings.NewReader(mat)); err == nil || !strings.Contains(err.Error(), "entry 2") {
+			t.Errorf("matrix value %q: err = %v, want one naming entry 2", tok, err)
+		}
+		vec := "%%MatrixMarket matrix array real general\n2 1\n1.0\n" + tok + "\n"
+		if _, err := ReadVector(strings.NewReader(vec)); err == nil || !strings.Contains(err.Error(), "value 2") {
+			t.Errorf("vector value %q: err = %v, want one naming value 2", tok, err)
+		}
+	}
+}

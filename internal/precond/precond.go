@@ -23,7 +23,13 @@
 // outer accelerator must be the flexible FGMRES.
 package precond
 
-import "parapre/internal/dist"
+import (
+	"errors"
+	"fmt"
+	"slices"
+
+	"parapre/internal/dist"
+)
 
 // Preconditioner is one rank's preconditioner: z = M⁻¹·r over the rank's
 // owned unknowns. Implementations that communicate (the Schur and Schwarz
@@ -58,6 +64,35 @@ const (
 	KindMSLR Kind = "MSLR"
 	KindNone Kind = "None"
 )
+
+// kinds lists every valid Kind: the one registry of preconditioner names.
+var kinds = []Kind{KindBlock1, KindBlock2, KindBlockARMS, KindBlock2P, KindBlockIC,
+	KindSchur1, KindSchur2, KindMSLR, KindNone}
+
+// ErrUnknownKind is the sentinel UnknownKindError wraps.
+var ErrUnknownKind = errors.New("precond: unknown preconditioner")
+
+// UnknownKindError reports a preconditioner name that is not a Kind.
+// Names are matched exactly, so "block 2" and "" are unknown too.
+type UnknownKindError struct {
+	Kind Kind
+}
+
+func (e *UnknownKindError) Error() string {
+	return fmt.Sprintf("precond: unknown preconditioner %q (have %q)", e.Kind, kinds)
+}
+
+// Unwrap makes errors.Is(e, ErrUnknownKind) true.
+func (e *UnknownKindError) Unwrap() error { return ErrUnknownKind }
+
+// CheckKind returns nil when k names a preconditioner (KindNone
+// included), and an *UnknownKindError otherwise.
+func CheckKind(k Kind) error {
+	if slices.Contains(kinds, k) {
+		return nil
+	}
+	return &UnknownKindError{Kind: k}
+}
 
 // identity is the trivial preconditioner (used by baselines).
 type identity struct{}

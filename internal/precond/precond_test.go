@@ -1,6 +1,7 @@
 package precond
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -342,5 +343,20 @@ func TestSchwarzValidation(t *testing.T) {
 	}
 	if _, err := NewSchwarz(systems[0], a, SchwarzOptions{M: 12, Px: 3, Py: 1, Overlap: 0.05}); err == nil {
 		t.Fatal("wrong layout accepted")
+	}
+}
+
+func TestCheckKind(t *testing.T) {
+	for _, k := range []Kind{KindBlock1, KindBlock2, KindBlockARMS, KindBlock2P, KindBlockIC,
+		KindSchur1, KindSchur2, KindMSLR, KindNone} {
+		if err := CheckKind(k); err != nil {
+			t.Errorf("CheckKind(%q) = %v", k, err)
+		}
+	}
+	for _, k := range []Kind{"", "bogus", "block 2", "Schur2", " Schur 1", "none"} {
+		var uk *UnknownKindError
+		if err := CheckKind(k); !errors.As(err, &uk) || uk.Kind != k {
+			t.Errorf("CheckKind(%q) = %v, want *UnknownKindError", k, err)
+		}
 	}
 }
